@@ -9,6 +9,7 @@ import (
 	"srdf/internal/dict"
 	"srdf/internal/nt"
 	"srdf/internal/plan"
+	"srdf/internal/rdfh"
 )
 
 // deltaBenchStore builds an organized store of n clustered subjects and
@@ -97,5 +98,42 @@ func BenchmarkCompact_Merge(b *testing.B) {
 		if _, err := st.Compact(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWrite_TrickleThenQuery measures what making one trickle
+// write visible costs: one Add batch (a new lineitem's properties) and
+// one point query on an organized RDF-H store, whose refresh syncs the
+// batch into the delta layer and merges it into the triple projections.
+// The merge is a linear memory copy of the projections, so the cost
+// grows with the store, but far below a re-sort of them.
+func BenchmarkWrite_TrickleThenQuery(b *testing.B) {
+	for _, sf := range []float64{0.002, 0.01} {
+		b.Run(fmt.Sprintf("sf%g", sf), func(b *testing.B) {
+			opts := core.DefaultOptions()
+			opts.CS.MinSupport = 5
+			st := core.NewStore(opts)
+			rdfh.Generate(sf, 42).Emit(func(t nt.Triple) { st.Add(t) })
+			if _, err := st.Organize(); err != nil {
+				b.Fatal(err)
+			}
+			qo := core.QueryOptions{Mode: plan.ModeRDFScan, ZoneMaps: true}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				li := rdfh.NS + fmt.Sprintf("trickle/%d", i)
+				s := dict.IRI(li)
+				st.Add(nt.Triple{S: s, P: dict.IRI(rdfh.PLiQty), O: dict.IntLit(int64(1 + i%50))})
+				st.Add(nt.Triple{S: s, P: dict.IRI(rdfh.PLiPrice), O: dict.IntLit(int64(900 + i%1000))})
+				st.Add(nt.Triple{S: s, P: dict.IRI(rdfh.PLiDiscount), O: dict.IntLit(int64(i % 10))})
+				st.Add(nt.Triple{S: s, P: dict.IRI(rdfh.PLiShipMode), O: dict.StringLit("MAIL")})
+				res, err := st.Query("SELECT ?p ?o WHERE { <"+li+"> ?p ?o }", qo)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Len() != 4 {
+					b.Fatalf("query saw %d of the 4 written triples", res.Len())
+				}
+			}
+		})
 	}
 }

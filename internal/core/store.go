@@ -11,7 +11,10 @@
 // changed subject is re-assigned to an existing CS table by incremental
 // characteristic-set matching, and Compact merges the delta back into
 // freshly sealed segments — so the schema keeps fitting the data without
-// a full rebuild.
+// a re-Organize. The triple projections are not re-sorted on a write
+// either: the refresh that makes a write batch visible merges it into
+// each projection in one linear pass, O(N+k) for N stored and k written
+// triples, mostly bulk memory copy.
 //
 // Concurrency: queries execute against an immutable epoch snapshot
 // (catalog version + index set) taken under the store mutex at plan
@@ -129,9 +132,9 @@ type QueryOptions struct {
 }
 
 // snapshot is the immutable state one query executes against: once
-// published it is never mutated — writers build replacements (indexes
-// are rebuilt wholesale, the catalog is cloned copy-on-write), so
-// concurrent readers keep a consistent epoch.
+// published it is never mutated — writers build replacements (writes
+// are merged into fresh projection arrays, the catalog is cloned
+// copy-on-write), so concurrent readers keep a consistent epoch.
 type snapshot struct {
 	epoch           uint64
 	dict            *dict.Dictionary
@@ -185,19 +188,22 @@ type Store struct {
 	// after Organize.
 	literalsOrdered bool
 
-	idxDirty bool
+	// pendAdds and pendDels are the write batch not yet folded into
+	// idx, and the only record that idx is stale: the number of copies
+	// of each triple appended to the table since idx was last brought up
+	// to date, and the triples whose every copy was removed from it since
+	// (NumTriples applies deletes ahead of the refresh). Presence checks
+	// consult both before trusting idx. Both stay empty while idx is nil:
+	// the full build that replaces a missing idx covers everything.
+	pendAdds map[triples.Triple]int
+	pendDels map[triples.Triple]struct{}
+	// idxStats counts index maintenance (full builds, merges, time).
+	idxStats IndexStats
 	// touched collects subjects whose residence must be re-resolved by
 	// the next refresh (post-Organize adds and deletes).
 	touched map[dict.OID]struct{}
-	// deltaSet tracks post-Organize adds not yet folded into the
-	// indexes, for duplicate suppression (RDF graphs are sets).
-	deltaSet map[triples.Triple]struct{}
 	// delPending holds requested deletions, applied in one batch pass.
 	delPending map[triples.Triple]struct{}
-	// deadSet tracks deletions already applied to the table but not yet
-	// reflected in the indexes (NumTriples applies deletes without the
-	// full refresh), so presence checks do not trust the stale index.
-	deadSet map[triples.Triple]struct{}
 
 	epoch uint64
 	snap  *snapshot
@@ -293,9 +299,9 @@ func newBareStore(opts Options) *Store {
 		table:      triples.NewTable(0),
 		pool:       newPool(opts),
 		touched:    make(map[dict.OID]struct{}),
-		deltaSet:   make(map[triples.Triple]struct{}),
+		pendAdds:   make(map[triples.Triple]int),
+		pendDels:   make(map[triples.Triple]struct{}),
 		delPending: make(map[triples.Triple]struct{}),
-		deadSet:    make(map[triples.Triple]struct{}),
 		workload:   make(map[string]int),
 		plans:      newPlanCache(cacheCap),
 		qlog:       newQueryLog(DefaultQueryLogSize),
@@ -318,9 +324,9 @@ func newPool(opts Options) *colstore.BufferPool {
 // fallback otherwise), sealed segment payloads are checksummed but not
 // decoded (they fault in on first scan, visible in
 // PoolStats.SegmentsLazy/SegmentsDecoded, and under Options.PoolBytes
-// pressure are evicted back to the mapping), and the six projections
-// are not rebuilt until the first query or update needs the store's
-// indexes — Open itself never pays the sort. With
+// pressure are evicted back to the mapping), and the projections are
+// not built until the first query or update needs the store's indexes —
+// Open itself never pays the radix build. With
 // Options.WALPath set, the log's surviving records are replayed through
 // the ordinary delta path before the store is returned — crash recovery
 // is exactly "load latest snapshot, re-apply the logged tail".
@@ -622,10 +628,12 @@ func (s *Store) NumTriples() int {
 // bulk data; after, it lands in the delta layer — assigned to an
 // existing CS table when its subject's property set matches one, or to
 // the irregular leftover store — and is answered exactly by the next
-// query without any rebuild. It returns ErrReadOnly while the store is
-// latched after durability failures, and rejects (without applying) a
-// triple whose lexical form cannot fit one WAL record — degrading the
-// one write instead of the store.
+// query, whose refresh merges the pending write batch into the triple
+// projections in one linear pass (no re-sort, no re-Organize). It
+// returns ErrReadOnly while the store is latched after durability
+// failures, and rejects (without applying) a triple whose lexical form
+// cannot fit one WAL record — degrading the one write instead of the
+// store.
 func (s *Store) Add(t nt.Triple) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -658,14 +666,9 @@ func (s *Store) addLocked(t nt.Triple) bool {
 			s.touched[so] = struct{}{}
 			return true
 		}
-		if _, dup := s.deltaSet[tr]; dup {
+		if s.presentLocked(tr) {
 			return false // RDF graphs are sets; the live path enforces it
 		}
-		if _, dead := s.deadSet[tr]; !dead && s.idxContainsLocked(tr) {
-			return false // present in the (non-stale part of the) index
-		}
-		delete(s.deadSet, tr)
-		s.deltaSet[tr] = struct{}{}
 		s.touched[so] = struct{}{}
 		if s.dict.NumLiterals() != nl {
 			s.literalsOrdered = false
@@ -678,7 +681,9 @@ func (s *Store) addLocked(t nt.Triple) bool {
 		s.applyPendingDeletesLocked()
 	}
 	s.table.Append(so, po, oo)
-	s.idxDirty = true
+	if s.idx != nil {
+		s.pendAdds[tr]++
+	}
 	return true
 }
 
@@ -724,9 +729,7 @@ func (s *Store) deleteLocked(t nt.Triple) bool {
 		return false // already queued: a repeat delete is a no-op
 	}
 	if s.organized {
-		_, added := s.deltaSet[tr]
-		_, dead := s.deadSet[tr]
-		if !added && (dead || !s.idxContainsLocked(tr)) {
+		if !s.presentLocked(tr) {
 			return false // absent: nothing to delete
 		}
 		s.delPending[tr] = struct{}{}
@@ -740,20 +743,55 @@ func (s *Store) deleteLocked(t nt.Triple) bool {
 	return true
 }
 
-// idxContainsLocked reports whether the triple is present in the base
-// indexes (which reflect the table as of the last refresh; callers
-// additionally consult deltaSet/delPending for in-flight writes). A
-// snapshot-opened store defers the six-projection build to the first
-// operation that needs it — that is what keeps Open at millisecond cost —
-// so a clean missing index is built here on demand.
-func (s *Store) idxContainsLocked(tr triples.Triple) bool {
+// presentLocked reports whether the triple is in the table once queued
+// deletions are ignored (callers consult delPending themselves): pending
+// adds first, then the index unless the triple was deleted since it was
+// built. A snapshot-opened store defers the projection build to the
+// first operation that needs it — that is what keeps Open at
+// millisecond cost — so a missing index is built here on demand.
+func (s *Store) presentLocked(tr triples.Triple) bool {
+	if s.pendAdds[tr] > 0 {
+		return true
+	}
+	if _, dead := s.pendDels[tr]; dead {
+		return false
+	}
 	if s.idx == nil {
-		if s.idxDirty || s.table.Len() == 0 {
-			return false
-		}
-		s.idx = triples.BuildAll(s.table)
+		s.syncIndexLocked()
 	}
 	return s.idx.Get(triples.SPO).Contains(tr)
+}
+
+// syncIndexLocked brings idx up to date with the table and reports
+// whether it changed: a full build when there is no index yet, else one
+// linear merge of the pending batch into fresh arrays (published
+// snapshots keep the old ones).
+func (s *Store) syncIndexLocked() bool {
+	start := time.Now()
+	switch {
+	case s.idx == nil:
+		s.idx = triples.BuildAll(s.table)
+		s.idxStats.Builds++
+	case len(s.pendAdds) > 0 || len(s.pendDels) > 0:
+		adds := triples.NewTable(len(s.pendAdds))
+		for tr, n := range s.pendAdds {
+			for ; n > 0; n-- {
+				adds.AppendTriple(tr)
+			}
+		}
+		dels := make([]triples.Triple, 0, len(s.pendDels))
+		for tr := range s.pendDels {
+			dels = append(dels, tr)
+		}
+		s.idx = s.idx.Merge(adds, dels)
+		s.idxStats.Merges++
+		clear(s.pendAdds)
+		clear(s.pendDels)
+	default:
+		return false
+	}
+	s.idxStats.Seconds += time.Since(start).Seconds()
+	return true
 }
 
 // applyPendingDeletesLocked filters the queued deletions out of the base
@@ -766,6 +804,11 @@ func (s *Store) applyPendingDeletesLocked() int {
 	for i := 0; i < n; i++ {
 		tr := s.table.At(i)
 		if _, dead := s.delPending[tr]; dead {
+			// every copy goes, including pending adds of tr
+			delete(s.pendAdds, tr)
+			if s.idx != nil {
+				s.pendDels[tr] = struct{}{}
+			}
 			continue
 		}
 		s.table.S[w], s.table.P[w], s.table.O[w] = tr.S, tr.P, tr.O
@@ -775,19 +818,7 @@ func (s *Store) applyPendingDeletesLocked() int {
 	s.table.S = s.table.S[:w]
 	s.table.P = s.table.P[:w]
 	s.table.O = s.table.O[:w]
-	// The deleted triples are gone from the table but may linger in the
-	// stale index (rebuilt lazily) and in the pending-add set; record
-	// them dead so a re-Add is not mistaken for a duplicate.
-	for tr := range s.delPending {
-		delete(s.deltaSet, tr)
-		if s.organized {
-			s.deadSet[tr] = struct{}{}
-		}
-	}
 	s.delPending = make(map[triples.Triple]struct{})
-	if removed > 0 {
-		s.idxDirty = true
-	}
 	return removed
 }
 
@@ -856,7 +887,7 @@ func (r OrganizeReport) String() string {
 
 // Organize runs the self-organization pipeline: discover characteristic
 // sets, cluster subjects (renumbering the whole OID space), materialize
-// the relational catalog with zone maps, and rebuild the six
+// the relational catalog with zone maps, and rebuild the triple
 // projections. It can be called again after live updates to fold the
 // delta layer into a fresh clustering; because it renumbers the shared
 // dictionary it waits for all in-flight queries to finish (close every
@@ -869,6 +900,10 @@ func (s *Store) Organize() (OrganizeReport, error) {
 	defer s.mu.Unlock()
 	var rep OrganizeReport
 	s.applyPendingDeletesLocked()
+	// The table is rewritten below, so the index is built afresh after.
+	s.idx = nil
+	clear(s.pendAdds)
+	clear(s.pendDels)
 	if s.opts.Dedup {
 		rep.DuplicatesDropped = s.table.Dedup()
 	}
@@ -888,13 +923,10 @@ func (s *Store) Organize() (OrganizeReport, error) {
 	// its resident pages are dropped below.
 	s.pool = newPool(s.opts)
 	s.cat = relational.BuildCatalog(s.table, s.dict, s.schema, inf, s.pool)
-	s.idx = triples.BuildAll(s.table)
+	s.syncIndexLocked()
 	s.organized = true
 	s.literalsOrdered = !s.opts.Cluster.KeepLiteralOrder
-	s.idxDirty = false
 	s.touched = make(map[dict.OID]struct{})
-	s.deltaSet = make(map[triples.Triple]struct{})
-	s.deadSet = make(map[triples.Triple]struct{})
 	s.epoch++
 	s.publishSnapshotLocked()
 	if s.blob != nil {
@@ -1056,7 +1088,7 @@ func (s *Store) publishSnapshotLocked() {
 }
 
 // refreshLocked folds pending writes into a fresh snapshot: batch-apply
-// deletions, rebuild the six projections, incrementally re-assign every
+// deletions, merge the write batch into the projections, re-assign every
 // touched subject through the delta layer, auto-compact past the
 // threshold, and publish the next epoch.
 func (s *Store) refreshLocked() {
@@ -1089,10 +1121,7 @@ func (s *Store) refreshLocked() {
 	if s.applyPendingDeletesLocked() > 0 {
 		changed = true
 	}
-	if s.idx == nil || s.idxDirty {
-		s.idx = triples.BuildAll(s.table)
-		s.idxDirty = false
-		s.deadSet = make(map[triples.Triple]struct{}) // index is current again
+	if s.syncIndexLocked() {
 		changed = true
 	}
 	if s.organized && len(s.touched) > 0 {
@@ -1105,7 +1134,6 @@ func (s *Store) refreshLocked() {
 		cat.ReassignSubjects(subs, s.idx.Get(triples.SPO), s.schema)
 		s.cat = cat
 		s.touched = make(map[dict.OID]struct{})
-		s.deltaSet = make(map[triples.Triple]struct{})
 		changed = true
 		thr := s.opts.CompactThreshold
 		if thr == 0 {
@@ -1208,6 +1236,25 @@ func (s *Store) PlanCacheStats() PlanCacheStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.plans.stats()
+}
+
+// IndexStats counts the maintenance of the store's triple projections:
+// full builds (Organize, the first use after Open) and linear merges of
+// a write batch (every refresh that folds in writes), with the time
+// both took.
+type IndexStats struct {
+	Builds  uint64
+	Merges  uint64
+	Seconds float64
+}
+
+// IndexStats returns the index-maintenance counters. Like
+// PlanCacheStats it never refreshes, so a metrics scrape does no
+// writer's work.
+func (s *Store) IndexStats() IndexStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.idxStats
 }
 
 // Query parses, plans and executes a SPARQL query against the current

@@ -79,6 +79,12 @@ func (s *Server) registerDerivedMetrics() {
 		func() float64 { return float64(st.PlanCacheStats().Size) })
 	reg.GaugeFunc("srdf_store_epoch", "Published snapshot epoch.",
 		func() float64 { return float64(st.Epoch()) })
+	reg.CounterFunc("srdf_index_maintenance_seconds_total", "Time spent building and merging the triple projections.",
+		func() float64 { return st.IndexStats().Seconds })
+	reg.CounterFunc("srdf_index_builds_total", "Full builds of the triple projections (Organize, first use after open).",
+		func() float64 { return float64(st.IndexStats().Builds) })
+	reg.CounterFunc("srdf_index_merges_total", "Write batches merged into the triple projections.",
+		func() float64 { return float64(st.IndexStats().Merges) })
 
 	reg.CounterFunc("srdf_pool_hits_total", "Buffer pool page hits.",
 		func() float64 { return float64(st.PoolStats().Hits) })

@@ -20,9 +20,14 @@ import (
 // exactly one HELP and one TYPE line, family names are unique, and
 // histogram buckets are cumulative and end at +Inf.
 func TestMetricsExpositionLint(t *testing.T) {
-	srv := testServer(t, 20, Config{MaxResultRows: 5})
+	st := testStore(t, 20, srdf.Defaults())
+	srv := New(st, Config{MaxResultRows: 5})
 	h := srv.Handler()
-	// Traffic across outcomes so labeled series and histograms move.
+	// Traffic across outcomes so labeled series and histograms move; the
+	// write is merged into the projections by the first query's refresh.
+	if err := st.Add(testTriple(t, `<http://ex/new> <http://ex/name> "x" .`)); err != nil {
+		t.Fatal(err)
+	}
 	get(t, h, "/sparql?query="+url.QueryEscape(nameQuery+" LIMIT 3"), "")
 	get(t, h, "/sparql?query="+url.QueryEscape(nameQuery+" LIMIT 3"), "")
 	get(t, h, "/sparql?query=", "") // bad query
@@ -100,15 +105,28 @@ func TestMetricsExpositionLint(t *testing.T) {
 		}
 	}
 
-	// The new executor and query-log series exist and moved with traffic.
+	// The executor, query-log and index-maintenance series exist and
+	// moved with traffic: Organize built the projections once and the
+	// write was merged once.
 	for _, want := range []string{"srdf_exec_scan_rows_total", "srdf_exec_operator_seconds_total",
-		"srdf_query_log_queries_total 2", "srdf_store_epoch"} {
+		"srdf_query_log_queries_total 2", "srdf_store_epoch",
+		"srdf_index_builds_total 1\n", "srdf_index_merges_total 1\n", "srdf_index_maintenance_seconds_total"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q\n%s", want, body)
 		}
 	}
-	if strings.Contains(body, "srdf_exec_scan_rows_total 0\n") {
-		t.Error("srdf_exec_scan_rows_total did not move under traffic")
+	for _, still := range []string{"srdf_exec_scan_rows_total 0\n", "srdf_index_maintenance_seconds_total 0\n"} {
+		if strings.Contains(body, still) {
+			t.Errorf("%q did not move under traffic", strings.Fields(still)[0])
+		}
+	}
+	// A scrape reads the counters without refreshing: a pending write
+	// stays unmerged until a query folds it in.
+	if err := st.Add(testTriple(t, `<http://ex/new2> <http://ex/name> "y" .`)); err != nil {
+		t.Fatal(err)
+	}
+	if body := get(t, h, "/metrics", "").Body.String(); !strings.Contains(body, "srdf_index_merges_total 1\n") {
+		t.Errorf("a scrape merged the pending write:\n%s", body)
 	}
 }
 

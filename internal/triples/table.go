@@ -1,8 +1,8 @@
 // Package triples implements the dictionary-encoded triple table and the
-// six ordered projections (SPO, SOP, PSO, POS, OSP, OPS) that the
-// MonetDB+HSP prototype — the paper's baseline — keeps for exhaustive
-// indexing. All downstream machinery (CS detection, subject clustering,
-// both query-plan families) operates on these structures.
+// ordered projections (SPO, SOP, PSO, POS, OSP) that the MonetDB+HSP
+// prototype — the paper's baseline — keeps for exhaustive indexing.
+// All downstream machinery (CS detection, subject clustering, both
+// query-plan families) operates on these structures.
 package triples
 
 import (
@@ -75,78 +75,56 @@ func (t *Table) Dedup() int {
 	if n == 0 {
 		return 0
 	}
-	idx := sortedIndex(t, SPO)
-	outS := make([]dict.OID, 0, n)
-	outP := make([]dict.OID, 0, n)
-	outO := make([]dict.OID, 0, n)
-	var last Triple
-	for k, i := range idx {
-		tr := t.At(int(i))
-		if k > 0 && tr == last {
+	spo := Build(t, SPO)
+	w := 0
+	for i := 0; i < n; i++ {
+		if i > 0 && spo.A[i] == spo.A[w-1] && spo.B[i] == spo.B[w-1] && spo.C[i] == spo.C[w-1] {
 			continue
 		}
-		last = tr
-		outS = append(outS, tr.S)
-		outP = append(outP, tr.P)
-		outO = append(outO, tr.O)
+		spo.A[w], spo.B[w], spo.C[w] = spo.A[i], spo.B[i], spo.C[i]
+		w++
 	}
-	removed := n - len(outS)
-	t.S, t.P, t.O = outS, outP, outO
-	return removed
+	t.S, t.P, t.O = spo.A[:w], spo.B[:w], spo.C[:w]
+	return n - w
 }
 
-// Perm names one of the six sort orders of a projection.
+// Perm names one of the sort orders of a projection.
 type Perm uint8
 
-// The six permutations of (subject, predicate, object).
+// The five permutations of (subject, predicate, object) the store
+// indexes. OPS is not among them: no access path reads it.
 const (
 	SPO Perm = iota
 	SOP
 	PSO
 	POS
 	OSP
-	OPS
 )
 
 // AllPerms lists every projection order.
-var AllPerms = [6]Perm{SPO, SOP, PSO, POS, OSP, OPS}
+var AllPerms = [5]Perm{SPO, SOP, PSO, POS, OSP}
 
 func (p Perm) String() string {
-	switch p {
-	case SPO:
-		return "SPO"
-	case SOP:
-		return "SOP"
-	case PSO:
-		return "PSO"
-	case POS:
-		return "POS"
-	case OSP:
-		return "OSP"
-	case OPS:
-		return "OPS"
-	default:
-		return fmt.Sprintf("Perm(%d)", uint8(p))
+	if int(p) < len(AllPerms) {
+		return [...]string{"SPO", "SOP", "PSO", "POS", "OSP"}[p]
 	}
+	return fmt.Sprintf("Perm(%d)", uint8(p))
 }
 
-// cols maps a permutation to the (first, second, third) component
-// extractor of a triple.
+// permCols gives, per permutation, the triple component (0=S, 1=P, 2=O)
+// held in a projection's A, B and C columns.
+var permCols = [...][3]int{
+	SPO: {0, 1, 2},
+	SOP: {0, 2, 1},
+	PSO: {1, 0, 2},
+	POS: {1, 2, 0},
+	OSP: {2, 0, 1},
+}
+
+// key returns t's components in permutation order.
 func (p Perm) key(t Triple) (dict.OID, dict.OID, dict.OID) {
-	switch p {
-	case SPO:
-		return t.S, t.P, t.O
-	case SOP:
-		return t.S, t.O, t.P
-	case PSO:
-		return t.P, t.S, t.O
-	case POS:
-		return t.P, t.O, t.S
-	case OSP:
-		return t.O, t.S, t.P
-	default: // OPS
-		return t.O, t.P, t.S
-	}
+	c, pc := [3]dict.OID{t.S, t.P, t.O}, permCols[p]
+	return c[pc[0]], c[pc[1]], c[pc[2]]
 }
 
 // Projection is a copy of the triple table sorted in one permutation
@@ -157,42 +135,6 @@ type Projection struct {
 	A, B, C []dict.OID
 }
 
-func sortedIndex(t *Table, p Perm) []int32 {
-	n := t.Len()
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(x, y int) bool {
-		ax, bx, cx := p.key(t.At(int(idx[x])))
-		ay, by, cy := p.key(t.At(int(idx[y])))
-		if ax != ay {
-			return ax < ay
-		}
-		if bx != by {
-			return bx < by
-		}
-		return cx < cy
-	})
-	return idx
-}
-
-// Build sorts the table into the given permutation order.
-func Build(t *Table, p Perm) *Projection {
-	idx := sortedIndex(t, p)
-	pr := &Projection{
-		Order: p,
-		A:     make([]dict.OID, len(idx)),
-		B:     make([]dict.OID, len(idx)),
-		C:     make([]dict.OID, len(idx)),
-	}
-	for k, i := range idx {
-		a, b, c := p.key(t.At(int(i)))
-		pr.A[k], pr.B[k], pr.C[k] = a, b, c
-	}
-	return pr
-}
-
 // Len returns the number of rows.
 func (pr *Projection) Len() int { return len(pr.A) }
 
@@ -201,21 +143,10 @@ func (pr *Projection) At(i int) (a, b, c dict.OID) { return pr.A[i], pr.B[i], pr
 
 // Triple reconstructs the original (S,P,O) triple at row i.
 func (pr *Projection) Triple(i int) Triple {
-	a, b, c := pr.A[i], pr.B[i], pr.C[i]
-	switch pr.Order {
-	case SPO:
-		return Triple{a, b, c}
-	case SOP:
-		return Triple{a, c, b}
-	case PSO:
-		return Triple{b, a, c}
-	case POS:
-		return Triple{c, a, b}
-	case OSP:
-		return Triple{b, c, a}
-	default: // OPS
-		return Triple{c, b, a}
-	}
+	var c [3]dict.OID
+	pc := permCols[pr.Order]
+	c[pc[0]], c[pc[1]], c[pc[2]] = pr.A[i], pr.B[i], pr.C[i]
+	return Triple{c[0], c[1], c[2]}
 }
 
 // Range1 returns [lo,hi) of rows whose first component equals a.
@@ -259,21 +190,12 @@ func (pr *Projection) Contains(t Triple) bool {
 	return hi > lo
 }
 
-// IndexSet bundles all six projections, the "exhaustive indexing"
-// approach of RDF-3X and MonetDB+HSP that the paper critiques for its
-// lack of locality — and that the reorganized store still needs for the
+// IndexSet bundles the projections, the "exhaustive indexing" approach
+// of RDF-3X and MonetDB+HSP that the paper critiques for its lack of
+// locality — and that the reorganized store still needs for the
 // irregular residue and for non-star access paths.
 type IndexSet struct {
-	ByPerm [6]*Projection
-}
-
-// BuildAll sorts the table into all six permutations.
-func BuildAll(t *Table) *IndexSet {
-	var s IndexSet
-	for _, p := range AllPerms {
-		s.ByPerm[p] = Build(t, p)
-	}
-	return &s
+	ByPerm [len(AllPerms)]*Projection
 }
 
 // Get returns the projection for a permutation.

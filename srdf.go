@@ -43,7 +43,7 @@ type Mode = plan.Mode
 // Plan families (the paper's Table I configurations).
 const (
 	// Default evaluates star patterns with per-property index scans and
-	// self-joins over the six ordered projections.
+	// self-joins over the ordered triple projections.
 	Default = plan.ModeDefault
 	// RDFScan evaluates star patterns with the RDFscan/RDFjoin
 	// operators over the emergent tables.
@@ -256,10 +256,13 @@ func (s *Store) MustLoadTurtle(src string) int {
 // mutable delta layer: its subject is matched against the existing
 // characteristic sets and either gets a delta row behind one table's
 // sealed segments or spills to the irregular leftover store — exactly
-// queryable either way, with no rebuild. The live path treats the graph
-// as a set: adding an already-present triple is a no-op. While the
-// store is latched read-only after durability failures (see Health) the
-// write is rejected with an error wrapping ErrReadOnly.
+// queryable by the next query either way. That query's refresh merges
+// the pending writes into the triple projections in one linear pass (no
+// re-sort), so making a write visible costs time linear in the store
+// size. The live path treats the graph as a set: adding an
+// already-present triple is a no-op. While the store is latched
+// read-only after durability failures (see Health) the write is
+// rejected with an error wrapping ErrReadOnly.
 func (s *Store) Add(t Triple) error { return s.inner.Add(t) }
 
 // Delete removes one triple. After Organize the subject's sealed row is
@@ -353,6 +356,15 @@ type PlanCacheStats = core.PlanCacheStats
 
 // PlanCacheStats returns the prepared-plan cache counters.
 func (s *Store) PlanCacheStats() PlanCacheStats { return s.inner.PlanCacheStats() }
+
+// IndexStats counts the maintenance of the triple projections: full
+// builds (Organize, the first use after Open), linear merges of write
+// batches, and the seconds both took.
+type IndexStats = core.IndexStats
+
+// IndexStats returns the index-maintenance counters without folding in
+// pending writes, so reading them never does a writer's work.
+func (s *Store) IndexStats() IndexStats { return s.inner.IndexStats() }
 
 // Explain returns the plan tree that QueryWith would execute.
 func (s *Store) Explain(q string, o QueryOptions) (string, error) {

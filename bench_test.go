@@ -20,6 +20,7 @@ package srdf_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -386,6 +387,64 @@ func BenchmarkStream_MaterializedVsStreaming(b *testing.B) {
 			rows.Close()
 		}
 	})
+}
+
+// BenchmarkQuery_CachedPoint measures the per-query store path of a
+// plan-cache hit — reader gate, refresh check, cache lookup, Ctx fork,
+// query-log record — on point lookups, where that path is most of the
+// cost. One op is a fixed batch of pointBatch lookups cycling over
+// pointKeys orders. One untimed batch first plans every text into the
+// cache and touches the rows, so even a -benchtime 1x run times ~1,000
+// warm queries.
+func BenchmarkQuery_CachedPoint(b *testing.B) {
+	const pointKeys, pointBatch = 64, 1024
+	st := getHarness(b).Clustered
+	qo := core.QueryOptions{Mode: plan.ModeRDFScan, ZoneMaps: true}
+	texts := make([]string, pointKeys)
+	for i := range texts {
+		texts[i] = "SELECT ?p ?v WHERE { <" + rdfh.OrderIRI(i+1) + "> ?p ?v }"
+		res, err := st.Query(texts[i], qo)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Len() == 0 {
+			b.Fatalf("point lookup found nothing: %s", texts[i])
+		}
+	}
+	for _, api := range []struct {
+		name   string
+		lookup func(q string) error
+	}{
+		{"QueryStream", func(q string) error {
+			rows, err := st.QueryStream(q, qo)
+			if err != nil {
+				return err
+			}
+			for rows.Next() {
+			}
+			return rows.Err()
+		}},
+		{"Query", func(q string) error {
+			_, err := st.Query(q, qo)
+			return err
+		}},
+	} {
+		batch := func(b *testing.B) {
+			for j := 0; j < pointBatch; j++ {
+				if err := api.lookup(texts[j%pointKeys]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.Run(api.name, func(b *testing.B) {
+			batch(b)
+			runtime.GC() // start every run from the same heap, not the harness build's garbage
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				batch(b)
+			}
+		})
+	}
 }
 
 // BenchmarkStream_LimitEarlyTermination measures a LIMIT probe over a

@@ -29,8 +29,9 @@ type QueryRecord struct {
 	// cache.
 	CacheHit bool `json:"cache_hit"`
 	// Predicates/Tables/FilterColumns/Stars are the plan's workload
-	// fingerprint: predicate IRIs touched, CS tables scanned, columns
-	// carrying a range or equality constraint, and the star count.
+	// fingerprint (plan.Profile): predicate IRIs touched, CS tables
+	// scanned, predicates whose object the query constrains to a literal
+	// value, and the star count.
 	Predicates    []string `json:"predicates,omitempty"`
 	Tables        []string `json:"tables,omitempty"`
 	FilterColumns []string `json:"filter_columns,omitempty"`
@@ -43,10 +44,11 @@ type QueryRecord struct {
 	Outcome string `json:"outcome"`
 }
 
-// WorkloadProfile aggregates the query log into the per-predicate
-// signals a self-organization policy reads: how often each predicate is
-// touched and how often each column is filtered. Counts are cumulative
-// over the store's lifetime, not windowed to the ring buffer.
+// WorkloadProfile aggregates the query log into per-predicate workload
+// signals: how often each predicate is touched and how often each column
+// is filtered. Counts are cumulative over the store's lifetime, not
+// windowed to the ring buffer; Organize sub-orders each table by its
+// most-filtered column.
 type WorkloadProfile struct {
 	Queries          uint64            `json:"queries"`
 	Rows             uint64            `json:"rows"`
@@ -185,9 +187,9 @@ func outcomeOf(err error) string {
 func (s *Store) QueryLog() []QueryRecord { return s.qlog.recent() }
 
 // WorkloadProfile aggregates the query log into cumulative
-// per-predicate touch and per-column filter counts — the sensor the
-// self-organization policy reads. This PR ships the sensor, not the
-// policy.
+// per-predicate touch and per-column filter counts. The filter counts
+// are the workload signal the next Organize chooses each table's
+// subject-clustering sort key from (explicit Cluster.SortKeys win).
 func (s *Store) WorkloadProfile() WorkloadProfile { return s.qlog.profile() }
 
 // QueryLogCounts returns the cumulative (queries, result rows) the log

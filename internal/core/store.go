@@ -108,19 +108,20 @@ func DefaultOptions() Options {
 	}
 }
 
-// QueryOptions selects the plan family per query, mirroring Table I's
-// configuration axes.
+// QueryOptions selects the plan family and zone-map usage per query,
+// mirroring Table I's configuration axes.
 type QueryOptions struct {
 	Mode     plan.Mode
 	ZoneMaps bool
 	// ForceAlgo pins the physical join algorithm ("hash", "merge",
-	// "rdfjoin") wherever applicable — for testing and plan-quality
-	// comparison, not production use.
+	// "rdfjoin") wherever the optimizer could have applied it; joins the
+	// pinned algorithm cannot serve keep the cost-based choice. Meant
+	// for testing and plan comparison.
 	ForceAlgo string
-	// NoBloom disables runtime bloom filters on hash joins.
+	// NoBloom disables runtime bloom filters on hash-join probe sides.
 	NoBloom bool
 	// ForceOrder fixes the left-deep star join order by subject
-	// variable.
+	// variable name (without the leading '?').
 	ForceOrder []string
 	// MemLimit bounds the bytes the query's materializing operators
 	// (hash-join builds, aggregation state, sort rows, DISTINCT keys)
@@ -251,20 +252,14 @@ type Store struct {
 	ckptSeq     uint64
 	ckptWritten uint64
 
-	// workload counts, per predicate IRI, how often queries put a range
-	// or equality filter on that predicate's object — the signal the
-	// next Organize uses to choose subject-clustering sort keys
-	// (research question iii / the §II-D acknowledgment that sort-key
-	// choice needs workload analysis).
-	workload map[string]int
-
 	// plans is the prepared-plan cache (nil when disabled), guarded by
 	// mu like the rest of the planning state.
 	plans *planCache
 
 	// qlog is the structured query log: a ring of completed
 	// QueryRecords plus cumulative workload counters, self-locked (one
-	// short hold per completed query).
+	// short hold per completed query). Its filter-column counts are the
+	// workload signal the next Organize chooses sort keys from.
 	qlog *queryLog
 
 	// born marks store creation, for uptime reporting.
@@ -302,7 +297,6 @@ func newBareStore(opts Options) *Store {
 		pendAdds:   make(map[triples.Triple]int),
 		pendDels:   make(map[triples.Triple]struct{}),
 		delPending: make(map[triples.Triple]struct{}),
-		workload:   make(map[string]int),
 		plans:      newPlanCache(cacheCap),
 		qlog:       newQueryLog(DefaultQueryLogSize),
 		born:       time.Now(),
@@ -878,6 +872,11 @@ type OrganizeReport struct {
 	FKs               int
 	Coverage          float64
 	IrregularTriples  int
+	// SortKeys maps each table to the predicate IRI its subjects were
+	// sub-ordered by, whether the key was explicit, chosen from the
+	// query log's filter columns, or automatic. Tables kept in load
+	// order are absent.
+	SortKeys map[string]string
 }
 
 func (r OrganizeReport) String() string {
@@ -943,6 +942,13 @@ func (s *Store) Organize() (OrganizeReport, error) {
 	rep.FKs = len(s.schema.FKs)
 	rep.Coverage = s.schema.Coverage
 	rep.IrregularTriples = st.IrregularTriples
+	rep.SortKeys = make(map[string]string)
+	for _, t := range s.cat.Tables {
+		if t.SortPred != dict.Nil {
+			tm, _ := s.dict.Term(t.SortPred)
+			rep.SortKeys[t.Name] = tm.Value
+		}
+	}
 	// With persistence attached, an Organize is a checkpoint: the freshly
 	// clustered state is snapshotted and the log truncated. The in-memory
 	// reorganization above is complete either way; a checkpoint failure
@@ -1018,12 +1024,15 @@ func (s *Store) compactLocked() relational.CompactStats {
 	return st
 }
 
-// workloadSortKeysLocked derives per-table sort keys from the observed
-// workload: for each retained CS, the most-filtered predicate among its
-// properties wins. Explicit user keys take precedence; tables without a
-// workload signal fall back to AutoSortKey.
+// workloadSortKeysLocked derives per-table sort keys from the query
+// log's filter-column counts: for each retained CS, the most-filtered
+// predicate among its properties wins (the §II-D observation that
+// sort-key choice needs workload analysis). Explicit user keys take
+// precedence; tables without a workload signal fall back to
+// AutoSortKey.
 func (s *Store) workloadSortKeysLocked(explicit map[string]string) map[string]string {
-	if len(s.workload) == 0 {
+	filtered := s.qlog.profile().FilterColumns
+	if len(filtered) == 0 {
 		return explicit
 	}
 	out := make(map[string]string, len(explicit))
@@ -1037,13 +1046,13 @@ func (s *Store) workloadSortKeysLocked(explicit map[string]string) map[string]st
 		if _, ok := out[c.Name]; ok {
 			continue
 		}
-		best, bestN := "", 0
+		best, bestN := "", uint64(0)
 		for i := range c.Props {
 			tm, ok := s.dict.Term(c.Props[i].Pred)
 			if !ok {
 				continue
 			}
-			if n := s.workload[tm.Value]; n > bestN {
+			if n := filtered[tm.Value]; n > bestN {
 				best, bestN = tm.Value, n
 			}
 		}
@@ -1052,13 +1061,6 @@ func (s *Store) workloadSortKeysLocked(explicit map[string]string) map[string]st
 		}
 	}
 	return out
-}
-
-// recordWorkloadLocked folds one parsed query into the workload stats.
-func (s *Store) recordWorkloadLocked(q *sparql.Query) {
-	for _, iri := range plan.WorkloadRangePreds(q) {
-		s.workload[iri]++
-	}
 }
 
 // publishSnapshotLocked builds and publishes the immutable epoch
@@ -1151,35 +1153,6 @@ func (s *Store) refreshLocked() {
 	}
 }
 
-// planLocked refreshes, plans q against the current snapshot, and
-// returns both. Callers execute against the snapshot without any lock.
-func (s *Store) planLocked(q *sparql.Query, qopts QueryOptions, record bool) (*plan.Plan, *snapshot, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if record {
-		s.recordWorkloadLocked(q)
-	}
-	s.refreshLocked()
-	if s.snap == nil {
-		// Read-only latched before anything could be published (the
-		// very first refresh hit the durability failure): there is no
-		// durable epoch to serve, so the query reports the latch.
-		return nil, nil, s.roErrLocked()
-	}
-	snap := s.snap
-	p, err := plan.Build(q, snap.view(), plan.Options{
-		Mode:       qopts.Mode,
-		ZoneMaps:   qopts.ZoneMaps,
-		ForceAlgo:  qopts.ForceAlgo,
-		NoBloom:    qopts.NoBloom,
-		ForceOrder: qopts.ForceOrder,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, snap, nil
-}
-
 // BadQueryError marks a query the client got wrong — a parse failure or
 // an unplannable shape — as opposed to a store-side failure (WAL sync
 // loss). Protocol front ends map it to 400.
@@ -1188,33 +1161,34 @@ type BadQueryError struct{ Err error }
 func (e *BadQueryError) Error() string { return e.Err.Error() }
 func (e *BadQueryError) Unwrap() error { return e.Err }
 
-// planSourceLocked is the cached planning path: refresh, then resolve
-// (src, qopts) through the prepared-plan cache at the published epoch,
-// parsing and building only on a miss. Parse and build failures come
-// back wrapped in BadQueryError; WAL failures do not (they are the
-// store's fault, not the query's).
-func (s *Store) planSourceLocked(src string, qopts QueryOptions, record bool) (_ *plan.Plan, _ *snapshot, cached bool, _ error) {
+// planLocked refreshes, then resolves (src, qopts) to a plan at the
+// published epoch, parsing and building on a miss. With useCache the
+// prepared-plan cache is consulted and filled; without it every call
+// builds fresh and the cache counters do not move. Parse and build
+// failures come back wrapped in BadQueryError; WAL failures do not (they
+// are the store's fault, not the query's). Callers execute against the
+// returned snapshot without any lock.
+func (s *Store) planLocked(src string, qopts QueryOptions, useCache bool) (_ *plan.Plan, _ *snapshot, cached bool, _ error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.refreshLocked()
 	if s.snap == nil {
-		// see planLocked: latched before any epoch was published
+		// Read-only latched before anything could be published (the
+		// very first refresh hit the durability failure): there is no
+		// durable epoch to serve, so the query reports the latch.
 		return nil, nil, false, s.roErrLocked()
 	}
 	snap := s.snap
-	key := planCacheKey(src, qopts)
-	if p, ok := s.plans.get(snap.epoch, key); ok {
-		if record {
-			s.recordWorkloadLocked(p.Query)
+	var key string
+	if useCache {
+		key = planCacheKey(src, qopts)
+		if p, ok := s.plans.get(snap.epoch, key); ok {
+			return p, snap, true, nil
 		}
-		return p, snap, true, nil
 	}
 	q, err := sparql.Parse(src)
 	if err != nil {
 		return nil, nil, false, &BadQueryError{Err: err}
-	}
-	if record {
-		s.recordWorkloadLocked(q)
 	}
 	p, err := plan.Build(q, snap.view(), plan.Options{
 		Mode:       qopts.Mode,
@@ -1226,7 +1200,9 @@ func (s *Store) planSourceLocked(src string, qopts QueryOptions, record bool) (_
 	if err != nil {
 		return nil, nil, false, &BadQueryError{Err: err}
 	}
-	s.plans.put(snap.epoch, key, p)
+	if useCache {
+		s.plans.put(snap.epoch, key, p)
+	}
 	return p, snap, false, nil
 }
 
@@ -1261,22 +1237,43 @@ func (s *Store) IndexStats() IndexStats {
 // epoch snapshot. Concurrent Add/Delete/Compact calls do not affect a
 // query once planned.
 func (s *Store) Query(src string, qopts QueryOptions) (*exec.Result, error) {
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-	p, snap, cached, err := s.planSourceLocked(src, qopts, true)
+	r, err := s.startQuery(context.Background(), src, qopts, false)
 	if err != nil {
 		return nil, err
 	}
-	rec := newQueryRecord(src, p, cached)
-	start := time.Now()
-	res, err := p.Execute(queryCtx(snap, nil, qopts))
-	rec.DurationNS = time.Since(start).Nanoseconds()
-	if res != nil {
-		rec.Rows = int64(len(res.Rows))
+	res := r.it.Collect()
+	r.n = int64(len(res.Rows))
+	r.Close()
+	if err := r.Err(); err != nil {
+		// the stream ended on a failure (cancellation, recovered panic,
+		// memory budget): report it instead of a silently truncated result
+		return nil, err
 	}
-	rec.Outcome = outcomeOf(err)
-	s.qlog.record(rec)
-	return res, err
+	return res, nil
+}
+
+// startQuery is the one start of every logged query: take the reader
+// gate, plan through the cache, fork the snapshot's Ctx, attach a
+// per-operator stats tree when analyze is set, and open the stream. The
+// returned Rows owns the gate and writes the query's log record when it
+// closes.
+func (s *Store) startQuery(ctx context.Context, src string, qopts QueryOptions, analyze bool) (*Rows, error) {
+	s.gate.RLock()
+	p, snap, cached, err := s.planLocked(src, qopts, true)
+	if err != nil {
+		s.gate.RUnlock()
+		return nil, err
+	}
+	ectx := queryCtx(snap, ctx, qopts)
+	if analyze {
+		ectx.Stats = exec.NewQueryStats(p.NumStatNodes())
+	}
+	r := &Rows{s: s, p: p, stats: ectx.Stats, rec: newQueryRecord(src, p, cached), start: time.Now()}
+	if r.it, err = p.Stream(ectx); err != nil {
+		s.gate.RUnlock()
+		return nil, err
+	}
+	return r, nil
 }
 
 // queryCtx forks the snapshot's shared Ctx for one query: its own
@@ -1296,16 +1293,14 @@ func queryCtx(snap *snapshot, ctx context.Context, qopts QueryOptions) *exec.Ctx
 
 // QueryReference executes a query through the materializing reference
 // path: the BGP tree is drained operator-at-a-time and topped with the
-// PR-1 materializing head. It exists for differential testing — the
-// streaming pipeline must stay row-identical to it.
+// materializing head. It exists for differential testing — the
+// streaming pipeline must stay row-identical to it. It plans fresh,
+// bypassing the plan cache (cached plans share bloom handles this path
+// must not touch), and is not logged.
 func (s *Store) QueryReference(src string, qopts QueryOptions) (res *exec.Result, err error) {
-	q, err := sparql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
 	s.gate.RLock()
 	defer s.gate.RUnlock()
-	p, snap, err := s.planLocked(q, qopts, false)
+	p, snap, _, err := s.planLocked(src, qopts, false)
 	if err != nil {
 		return nil, err
 	}
@@ -1319,7 +1314,7 @@ func (s *Store) QueryReference(src string, qopts QueryOptions) (res *exec.Result
 		}
 	}()
 	rel := plan.Exec(p.Root, ectx)
-	res, err = exec.Head(ectx, rel, q)
+	res, err = exec.Head(ectx, rel, p.Query)
 	if err == nil {
 		if eerr := ectx.ExecErr(); eerr != nil {
 			return nil, eerr
@@ -1336,8 +1331,12 @@ func (s *Store) QueryReference(src string, qopts QueryOptions) (res *exec.Result
 // for open iterators — close (or drain) them before calling it.
 type Rows struct {
 	s    *Store
+	p    *plan.Plan
 	it   *exec.RowIter
 	done bool
+	// stats is the per-operator stats tree of an analyzed execution
+	// (nil otherwise).
+	stats *exec.QueryStats
 	// rec is the query-log record prototype; Close fills the runtime
 	// half (duration, rows, outcome) and records it.
 	rec   QueryRecord
@@ -1410,27 +1409,14 @@ func (s *Store) QueryStream(src string, qopts QueryOptions) (*Rows, error) {
 // false, and Rows.Err reports the cause. Planning resolves through the
 // prepared-plan cache; parse/plan failures are BadQueryError.
 func (s *Store) QueryStreamCtx(ctx context.Context, src string, qopts QueryOptions) (*Rows, error) {
-	s.gate.RLock()
-	p, snap, cached, err := s.planSourceLocked(src, qopts, true)
-	if err != nil {
-		s.gate.RUnlock()
-		return nil, err
-	}
-	it, err := p.Stream(queryCtx(snap, ctx, qopts))
-	if err != nil {
-		s.gate.RUnlock()
-		return nil, err
-	}
-	return &Rows{s: s, it: it, rec: newQueryRecord(src, p, cached), start: time.Now()}, nil
+	return s.startQuery(ctx, src, qopts, false)
 }
 
-// Explain returns the plan tree for a query without executing it.
+// Explain returns the plan tree for a query without executing it. It
+// plans fresh, bypassing the plan cache, so it times and shows an
+// uncached build.
 func (s *Store) Explain(src string, qopts QueryOptions) (string, error) {
-	q, err := sparql.Parse(src)
-	if err != nil {
-		return "", err
-	}
-	p, _, err := s.planLocked(q, qopts, false)
+	p, _, _, err := s.planLocked(src, qopts, false)
 	if err != nil {
 		return "", err
 	}
@@ -1444,34 +1430,16 @@ func (s *Store) Explain(src string, qopts QueryOptions) (string, error) {
 // The execution is a real query: it goes through the plan cache, counts
 // in the query log, and honors ctx cancellation and the memory budget.
 func (s *Store) ExplainAnalyze(ctx context.Context, src string, qopts QueryOptions) (string, error) {
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-	p, snap, cached, err := s.planSourceLocked(src, qopts, true)
+	r, err := s.startQuery(ctx, src, qopts, true)
 	if err != nil {
 		return "", err
 	}
-	ectx := queryCtx(snap, ctx, qopts)
-	stats := exec.NewQueryStats(p.NumStatNodes())
-	ectx.Stats = stats
-	rec := newQueryRecord(src, p, cached)
-	start := time.Now()
-	it, err := p.Stream(ectx)
-	if err != nil {
+	for r.Next() {
+	}
+	if err := r.Err(); err != nil {
 		return "", err
 	}
-	var rows int64
-	for it.Next() {
-		rows++
-	}
-	dur := time.Since(start)
-	rec.DurationNS = dur.Nanoseconds()
-	rec.Rows = rows
-	rec.Outcome = outcomeOf(it.Err())
-	s.qlog.record(rec)
-	if err := it.Err(); err != nil {
-		return "", err
-	}
-	return p.ExplainAnalyze(stats, rows, dur), nil
+	return r.p.ExplainAnalyze(r.stats, r.n, time.Duration(r.rec.DurationNS)), nil
 }
 
 // Uptime reports the time since the store was created or opened.

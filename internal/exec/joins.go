@@ -69,9 +69,10 @@ func HashJoin(ctx *Ctx, l, r *Rel) *Rel {
 }
 
 // SemiJoinRange filters rel to rows whose keyVar column lies inside the
-// OID range [lo,hi]. The planner uses it to apply a cross-table zone-map
-// restriction (a date range on ORDERS becomes a subject-OID range that
-// prunes LINEITEM's FK column) ahead of the actual join.
+// OID range [lo,hi] by a pass over already-materialized rows. The
+// planner does not use it: range restrictions, cross-table ones
+// included, run inside the scan as selection-vector predicates. It is
+// the filter-the-copy baseline of BenchmarkScan_SelectivePredicate.
 func SemiJoinRange(rel *Rel, keyVar string, lo, hi dict.OID) *Rel {
 	ci := rel.ColIdx(keyVar)
 	if ci < 0 {

@@ -114,35 +114,7 @@ func Defaults() Options {
 }
 
 // QueryOptions selects the plan family and zone-map usage per query.
-type QueryOptions struct {
-	Mode     Mode
-	ZoneMaps bool
-	// ForceAlgo pins the physical join algorithm ("hash", "merge",
-	// "rdfjoin") wherever the optimizer could have applied it; joins the
-	// pinned algorithm cannot serve keep the cost-based choice. Meant
-	// for testing and plan comparison.
-	ForceAlgo string
-	// NoBloom disables runtime bloom filters on hash-join probe sides.
-	NoBloom bool
-	// ForceOrder fixes the left-deep star join order by subject
-	// variable name (without the leading '?').
-	ForceOrder []string
-	// MemLimit bounds the bytes the query's materializing operators may
-	// retain; 0 is unlimited. An exceeded budget fails the one query
-	// with ErrMemBudget without affecting concurrent queries.
-	MemLimit int64
-}
-
-func (o QueryOptions) core() core.QueryOptions {
-	return core.QueryOptions{
-		Mode:       o.Mode,
-		ZoneMaps:   o.ZoneMaps,
-		ForceAlgo:  o.ForceAlgo,
-		NoBloom:    o.NoBloom,
-		ForceOrder: o.ForceOrder,
-		MemLimit:   o.MemLimit,
-	}
-}
+type QueryOptions = core.QueryOptions
 
 // ErrMemBudget marks a query that exceeded its MemLimit.
 var ErrMemBudget = exec.ErrMemBudget
@@ -313,7 +285,7 @@ func (s *Store) Query(q string) (*Result, error) {
 
 // QueryWith runs a SPARQL SELECT query under an explicit configuration.
 func (s *Store) QueryWith(q string, o QueryOptions) (*Result, error) {
-	return s.inner.Query(q, o.core())
+	return s.inner.Query(q, o)
 }
 
 // Rows is a streaming query result; see QueryStream.
@@ -336,7 +308,7 @@ func (s *Store) QueryStream(q string) (*Rows, error) {
 
 // QueryStreamWith is QueryStream under an explicit configuration.
 func (s *Store) QueryStreamWith(q string, o QueryOptions) (*Rows, error) {
-	return s.inner.QueryStream(q, o.core())
+	return s.inner.QueryStream(q, o)
 }
 
 // QueryStreamCtx is QueryStream bound to a context: when ctx is
@@ -345,7 +317,7 @@ func (s *Store) QueryStreamWith(q string, o QueryOptions) (*Rows, error) {
 // and Rows.Err reports the cause. Malformed or unplannable queries come
 // back as *core.BadQueryError.
 func (s *Store) QueryStreamCtx(ctx context.Context, q string, o QueryOptions) (*Rows, error) {
-	return s.inner.QueryStreamCtx(ctx, q, o.core())
+	return s.inner.QueryStreamCtx(ctx, q, o)
 }
 
 // PlanCacheStats exposes the prepared-plan cache counters: plans are
@@ -368,7 +340,7 @@ func (s *Store) IndexStats() IndexStats { return s.inner.IndexStats() }
 
 // Explain returns the plan tree that QueryWith would execute.
 func (s *Store) Explain(q string, o QueryOptions) (string, error) {
-	return s.inner.Explain(q, o.core())
+	return s.inner.Explain(q, o)
 }
 
 // ExplainAnalyze executes q and returns the plan tree annotated with
@@ -377,15 +349,15 @@ func (s *Store) Explain(q string, o QueryOptions) (string, error) {
 // estimation error. The query runs to completion under ctx — EXPLAIN
 // ANALYZE costs what the query costs.
 func (s *Store) ExplainAnalyze(ctx context.Context, q string, o QueryOptions) (string, error) {
-	return s.inner.ExplainAnalyze(ctx, q, o.core())
+	return s.inner.ExplainAnalyze(ctx, q, o)
 }
 
 // QueryRecord is one completed query in the structured query log.
 type QueryRecord = core.QueryRecord
 
 // WorkloadProfile aggregates the query log into per-predicate touch
-// counts and per-column filter counts — the sensor a self-organization
-// policy would read.
+// counts and per-column filter counts. The next Organize sub-orders each
+// table by its most-filtered column unless Options.SortKeys names one.
 type WorkloadProfile = core.WorkloadProfile
 
 // QueryLog returns the most recent completed queries, newest first.
